@@ -28,11 +28,15 @@ Output schema (one JSON document, written to ``--out``)::
                 sort_reuse_rate}, ...],
       "allocations": [{kind, size, cold_peak_mb, warm_peak_mb}, ...],
       "service": {kind, size, requests, baseline_s, workspace_s,
-                  speedup, sort_reuse_rate},
+                  speedup, sort_reuse_rate, backend},
       "durability": {kind, size, requests, in_memory_s, admission_s,
                      journal_s, journal_fsync_s, *_overhead_pct,
-                     journal_records, journal_mb}
+                     journal_records, journal_mb, backend}
     }
+
+``--skip-solo``/``--skip-alloc``/``--skip-service``/``--skip-durability``
+leave that block as it stands in ``--out``: a partial run rewrites only
+the rows it measured.
 
 ``--check-reuse`` exits 1 if any converging solo solve reports a zero
 sort-reuse hit rate — the CI smoke job uses this to catch a silently
@@ -358,6 +362,7 @@ def main(argv=None) -> int:
                         help="size for the service block "
                              "(default: second-largest solo size)")
     parser.add_argument("--service-requests", type=int, default=13)
+    parser.add_argument("--skip-solo", action="store_true")
     parser.add_argument("--skip-service", action="store_true")
     parser.add_argument("--skip-alloc", action="store_true")
     parser.add_argument("--skip-durability", action="store_true")
@@ -367,24 +372,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sizes = sorted(args.sizes)
-    doc = {
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "backend": get_backend().name,
-        "backend_versions": backend_versions(),
+    backend = get_backend().name
+    # Only the blocks this run produces are written; every other block
+    # (skipped ones, and those other benchmarks own: cluster, edge,
+    # chaos, kernel) is carried over from the existing document.  The
+    # top-level environment describes the solo rows; the service and
+    # durability rows name their own backend.
+    doc: dict = {
         "instances": "gravity-model migration tables (vintage 6570), "
                      "growth-perturbed totals, seed 7",
         "stop": {"eps": STOP.eps, "criterion": STOP.criterion,
                  "max_iterations": STOP.max_iterations},
-        "sizes": sizes,
-        "solo": [],
-        "allocations": [],
-        "service": None,
-        "durability": None,
     }
-    # Blocks other benchmarks own (cluster, edge, chaos, kernel) must
-    # survive a trajectory regeneration: carry everything this run does
-    # not itself produce over from the existing document.
     existing = {}
     if args.out.exists():
         try:
@@ -393,22 +392,29 @@ def main(argv=None) -> int:
             existing = {}
 
     failures = []
-    for n in sizes:
-        for kind in args.kinds:
-            row = bench_solo(kind, n, args.reps)
-            doc["solo"].append(row)
-            print(
-                f"solo {kind:8s} n={n:5d}  iters={row['iterations']:5d}  "
-                f"reuse={row['sort_reuse_rate']:.3f}  "
-                f"cold={row['cold_s']:.3f}s warm={row['warm_s']:.3f}s  "
-                f"speedup={row['speedup']:.2f}x",
-                flush=True,
-            )
-            if row["converged"] and row["sort_reuse_rate"] == 0.0:
-                failures.append(f"{kind} n={n}: converged with zero reuse")
+    if not args.skip_solo:
+        doc.update(
+            generated=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            numpy=np.__version__, backend=backend,
+            backend_versions=backend_versions(), sizes=sizes, solo=[],
+        )
+        for n in sizes:
+            for kind in args.kinds:
+                row = bench_solo(kind, n, args.reps)
+                doc["solo"].append(row)
+                print(
+                    f"solo {kind:8s} n={n:5d}  iters={row['iterations']:5d}  "
+                    f"reuse={row['sort_reuse_rate']:.3f}  "
+                    f"cold={row['cold_s']:.3f}s warm={row['warm_s']:.3f}s  "
+                    f"speedup={row['speedup']:.2f}x",
+                    flush=True,
+                )
+                if row["converged"] and row["sort_reuse_rate"] == 0.0:
+                    failures.append(f"{kind} n={n}: converged with zero reuse")
 
     if not args.skip_alloc:
         n = sizes[0]
+        doc["allocations"] = []
         for kind in args.kinds:
             row = bench_allocations(kind, n)
             doc["allocations"].append(row)
@@ -422,7 +428,7 @@ def main(argv=None) -> int:
     if not args.skip_service:
         n = args.service_size or (sizes[-2] if len(sizes) > 1 else sizes[0])
         row = bench_service("elastic", n, args.service_requests)
-        doc["service"] = row
+        doc["service"] = {**row, "backend": backend}
         print(
             f"service elastic n={n}  {row['requests']} warm requests  "
             f"baseline={row['baseline_s']:.3f}s "
@@ -435,7 +441,7 @@ def main(argv=None) -> int:
     if not args.skip_durability:
         n = args.service_size or (sizes[-2] if len(sizes) > 1 else sizes[0])
         row = bench_durability("elastic", n, args.service_requests)
-        doc["durability"] = row
+        doc["durability"] = {**row, "backend": backend}
         print(
             f"durability elastic n={n}  {row['requests']} warm requests  "
             f"in-memory={row['in_memory_s']:.3f}s  "
@@ -446,11 +452,7 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    for key in ("service", "durability"):
-        if doc[key] is None and key in existing:
-            doc[key] = existing[key]
-    for key, value in existing.items():
-        doc.setdefault(key, value)
+    doc = {**existing, **doc}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
 

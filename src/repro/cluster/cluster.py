@@ -66,7 +66,7 @@ from repro.service.admission import (
 )
 from repro.service.journal import derive_request_id, replay_full
 from repro.service.metrics import ServiceStats
-from repro.service.request import SolveRequest, SolveResponse
+from repro.service.request import SolveRequest, SolveResponse, check_solvable
 
 __all__ = ["ClusterService", "ClusterStats"]
 
@@ -772,6 +772,7 @@ class ClusterService:
             request = SolveRequest(problem=request, **options)
         elif options:
             raise TypeError("options only apply when submitting a bare problem")
+        check_solvable(request)
         if not self._accepting:
             self.router_rejections += 1
             raise OverloadedError(

@@ -8,18 +8,18 @@ interface exactly (``start``/``finish``/``call``/``submit``/``ping``/
 ``stats``/``close``, ``alive``, ``hello``) so :class:`ClusterService`,
 admission, stats merge and ``serve --cluster`` work unchanged.
 
-The protocol is the edge tier's wire discipline — strict JSON lines,
-non-finite floats through the lossless sidecar of
-:mod:`repro.service.wire` — with one crucial addition, **synchronous
-journal shipping**:
+The protocol is strict JSON lines carrying the journal's full-fidelity
+record codec (:mod:`repro.service.journal`: packed arrays, so non-finite
+floats need no sidecar; a submit frame reuses the request payload the
+router already encoded for its id) — with one crucial addition,
+**synchronous journal shipping**:
 
 * the remote service's :class:`~repro.service.journal.Journal` is
   subscribed at server start, so every WAL record it appends is
   captured as raw line text;
 * before *any* command reply is sent, the server ships the captured
   lines (``{"journal": "<raw line>"}`` — the record rides inside a
-  JSON string, so bare ``NaN`` tokens in journal lines never touch the
-  strict outer frame), then ``{"flush": N}``, and **waits for the
+  JSON string, byte-for-byte), then ``{"flush": N}``, and **waits for the
   router's ``{"ack": N}``** before replying;
 * the router appends each shipped line to a byte-for-byte
   :class:`~repro.service.journal.ReplicaJournal` (same fsync cadence
@@ -43,23 +43,29 @@ tail — catch-up — so a partition never desynchronizes the replica.
 
 from __future__ import annotations
 
-import os
+import json
 import pathlib
 import selectors
 import socket
 import time
 
 from repro.cluster.transport import Backoff, FrameSocket
-from repro.cluster.worker import ShardCrashedError
-from repro.errors import ReproError, error_class
-from repro.service.journal import ReplicaJournal
-from repro.service.metrics import ServiceStats
-from repro.service.wire import (
-    request_from_jsonable,
-    request_to_jsonable,
-    response_from_jsonable_full,
-    response_to_jsonable_full,
+from repro.cluster.worker import (
+    FINAL_OPS,
+    ShardCrashedError,
+    shard_error,
+    shard_hello,
+    shard_op,
 )
+from repro.errors import error_class
+from repro.service.journal import (
+    ReplicaJournal,
+    response_from_record,
+    response_to_record,
+    take_payload,
+)
+from repro.service.metrics import ServiceStats
+from repro.service.wire import request_from_jsonable
 
 __all__ = ["NetShard", "ShardServer"]
 
@@ -198,7 +204,7 @@ class NetShard:
             "shard": raw.get("shard"),
             "pid": raw.get("pid"),
             "recovered": [
-                response_from_jsonable_full(obj)
+                response_from_record(obj)
                 for obj in raw.get("recovered", [])
             ],
             "replayed": [
@@ -271,12 +277,14 @@ class NetShard:
         if self._fs is None:
             raise ShardCrashedError(f"{self.id} is not connected")
         if op == "submit":
+            # The payload text the router digested for the id rides the
+            # frame verbatim — no second encoding.
             request = args[0]
-            frame = {
-                "op": "submit",
-                "request": request_to_jsonable(request),
-                "order": getattr(request, "_order", 0),
-            }
+            frame = (
+                f'{{"op":"submit","id":{json.dumps(request.id)},'
+                f'"order":{json.dumps(getattr(request, "_order", 0))},'
+                f'"request":{take_payload(request)}}}'
+            )
         elif op == "shutdown":
             frame = {"op": "shutdown", "deadline": args[0]}
         else:
@@ -318,14 +326,14 @@ class NetShard:
                     return frame["ok"]
                 elif "responses" in frame:
                     return [
-                        response_from_jsonable_full(obj)
+                        response_from_record(obj)
                         for obj in frame["responses"]
                     ]
                 elif "response" in frame:
                     obj = frame["response"]
                     return (
                         None if obj is None
-                        else response_from_jsonable_full(obj)
+                        else response_from_record(obj)
                     )
                 elif "stats" in frame:
                     return ServiceStats.from_dict(frame["stats"])
@@ -483,20 +491,12 @@ class ShardServer:
                 self._journal_buf.clear()
                 for line in journal.read_tail(have):
                     conn.send({"journal": line})
-            svc = self.service
-            conn.send({"hello": {
-                "shard": self.shard_id,
-                "pid": os.getpid(),
-                "recovered": [
-                    response_to_jsonable_full(r)
-                    for r in svc.recovered.values()
-                ],
-                "replayed": [
-                    [req.id, getattr(req, "_order", 0)]
-                    for req in svc._queue
-                ],
-                "journal_lines": None if journal is None else journal.lines,
-            }})
+            hello = shard_hello(self.shard_id, self.service)
+            hello["recovered"] = [
+                response_to_record(r) for r in hello["recovered"]
+            ]
+            hello["journal_lines"] = None if journal is None else journal.lines
+            conn.send({"hello": hello})
         finally:
             conn.sock.setblocking(False)
 
@@ -506,51 +506,24 @@ class ShardServer:
         if "ack" in frame:
             return  # stray ack of an abandoned flush; harmless
         op = frame.get("op")
-        svc = self.service
-        stop_after = False
         try:
             if op == "submit":
                 request = request_from_jsonable(frame["request"])
+                request.id = frame.get("id", request.id)
                 request._order = frame.get("order", 0)
-                reply = {"ok": svc.submit(request)}
-            elif op == "drain":
-                reply = {"responses": [
-                    response_to_jsonable_full(r)
-                    for r in svc.collect() + svc.drain()
-                ]}
-            elif op == "collect":
-                reply = {"responses": [
-                    response_to_jsonable_full(r) for r in svc.collect()
-                ]}
-            elif op == "shed":
-                victim = svc.shed_oldest()
-                reply = {"response": (
-                    None if victim is None
-                    else response_to_jsonable_full(victim)
-                )}
-            elif op == "stats":
-                reply = {"stats": svc.stats().as_dict()}
-            elif op == "ping":
-                reply = {"pong": svc.pending}
-            elif op == "shutdown":
-                responses = svc.shutdown(deadline_s=frame.get("deadline"))
-                reply = {"responses": [
-                    response_to_jsonable_full(r)
-                    for r in svc.collect() + responses
-                ]}
-                stop_after = True
-            elif op == "close":
-                svc.close()
-                reply = {"ok": None}
-                stop_after = True
+                args = (request,)
             else:
-                reply = {"error": [
-                    "invalid-request", f"unknown shard op {op!r}"
-                ]}
-        except ReproError as exc:
-            reply = {"error": [exc.kind, str(exc)]}
+                args = (frame.get("deadline"),)
+            tag, value = shard_op(self.service, op, args)
+            if tag == "responses":
+                value = [response_to_record(r) for r in value]
+            elif tag == "response" and value is not None:
+                value = response_to_record(value)
+            elif tag == "stats":
+                value = value.as_dict()
+            reply = {tag: value}
         except Exception as exc:  # noqa: BLE001 — isolate, never kill the loop
-            reply = {"error": ["internal", f"{type(exc).__name__}: {exc}"]}
+            reply = {"error": list(shard_error(exc))}
         # Ship-before-reply: every record this op journaled must be
         # acked into the replica before the reply exists on the wire.
         # A failed ship raises ConnectionError -> the caller drops the
@@ -563,7 +536,7 @@ class ShardServer:
             conn.send(reply)
         finally:
             conn.sock.setblocking(False)
-        if stop_after:
+        if op in FINAL_OPS and "error" not in reply:
             self._stop = True
 
     def _ship(self, conn: FrameSocket) -> None:

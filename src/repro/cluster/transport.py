@@ -32,11 +32,12 @@ _MAX_FRAME = 64 * 1024 * 1024  # runaway-peer guard, far above any real frame
 _RECV_CHUNK = 1 << 16
 
 
-def encode_frame(obj: dict) -> bytes:
-    """One protocol object as a strict JSON line (bytes, newline kept)."""
-    return (
-        json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
-    ).encode()
+def encode_frame(obj: dict | str) -> bytes:
+    """One protocol object as a strict JSON line (bytes, newline kept);
+    a ``str`` is a frame already encoded as JSON text."""
+    if not isinstance(obj, str):
+        obj = json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return (obj + "\n").encode()
 
 
 def parse_host_port(spec: str) -> tuple[str, int]:
@@ -116,7 +117,7 @@ class FrameSocket:
 
     # -- blocking side (router) ---------------------------------------------
 
-    def send(self, obj: dict) -> None:
+    def send(self, obj: dict | str) -> None:
         try:
             self.sock.sendall(encode_frame(obj))
         except OSError as exc:

@@ -27,9 +27,12 @@ respawns keep dying falls back to it, mirroring the kernel's
 ``process -> thread -> serial`` ladder), and the zero-IPC backend for
 tests.
 
-Objects cross the pipe pickled (multiprocessing's native transport);
-pickling preserves float64 bit patterns, so the journal's bit-identity
-contract survives the hop.
+The command vocabulary itself is one function, :func:`shard_op`,
+shared by the pipe child, :class:`InlineShard` and the network
+:class:`~repro.cluster.net.ShardServer`.  Objects cross the pipe
+pickled (multiprocessing's native transport); pickling preserves
+float64 bit patterns, so the journal's bit-identity contract survives
+the hop.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ import pathlib
 import signal
 import time
 
-from repro.errors import ReproError, WorkerCrashError, error_class
+from repro.errors import (
+    InvalidRequestError,
+    ReproError,
+    WorkerCrashError,
+    error_class,
+)
 from repro.service.journal import Journal
 from repro.service.service import SolveService
 
@@ -61,6 +69,72 @@ def shard_journal(journal_dir, shard_id: str) -> pathlib.Path:
     return pathlib.Path(journal_dir) / f"{shard_id}.journal"
 
 
+def open_service(journal_path, snapshot_path, service_kwargs,
+                 recover: bool = False) -> SolveService:
+    """A shard's service: recovered from its journal when asked and the
+    journal exists, fresh otherwise."""
+    if recover and journal_path is not None and (
+        pathlib.Path(journal_path).exists()
+    ):
+        return SolveService.recover(
+            journal_path, snapshot_path=snapshot_path, **service_kwargs
+        )
+    return SolveService(
+        journal=journal_path, snapshot_path=snapshot_path, **service_kwargs
+    )
+
+
+def shard_hello(shard_id: str, svc: SolveService) -> dict:
+    """What a (re)started shard tells the router: pid, recovered
+    responses and the ``(id, order)`` pairs it re-enqueued."""
+    return {
+        "shard": shard_id,
+        "pid": os.getpid(),
+        "recovered": list(svc.recovered.values()),
+        "replayed": [
+            (req.id, getattr(req, "_order", 0)) for req in svc._queue
+        ],
+    }
+
+
+# Commands after which the shard's serving loop ends.
+FINAL_OPS = ("shutdown", "close")
+
+
+def shard_op(svc: SolveService, op: str, args) -> tuple[str, object]:
+    """Run one shard command against ``svc``: ``(reply tag, value)``.
+
+    The one command vocabulary of every shard transport — the pipe
+    child, the in-process shard and the network shard server only
+    frame it differently."""
+    if op == "submit":
+        return "ok", svc.submit(args[0])
+    if op == "drain":
+        return "responses", svc.collect() + svc.drain()
+    if op == "collect":
+        return "responses", svc.collect()
+    if op == "shed":
+        return "response", svc.shed_oldest()
+    if op == "stats":
+        return "stats", svc.stats()
+    if op == "ping":
+        return "pong", svc.pending
+    if op == "shutdown":
+        responses = svc.shutdown(deadline_s=args[0])
+        return "responses", svc.collect() + responses
+    if op == "close":
+        svc.close()
+        return "ok", None
+    raise InvalidRequestError(f"unknown shard op {op!r}")
+
+
+def shard_error(exc: Exception) -> tuple[str, str]:
+    """A failed command as the ``(kind, message)`` a router re-raises."""
+    if isinstance(exc, ReproError):
+        return exc.kind, str(exc)
+    return "internal", f"{type(exc).__name__}: {exc}"
+
+
 def _shard_main(conn, shard_id, recover, journal_path, snapshot_path,
                 service_kwargs) -> None:
     """Child-process entry: build the shard's service, serve commands."""
@@ -72,31 +146,13 @@ def _shard_main(conn, shard_id, recover, journal_path, snapshot_path,
     except ValueError:  # pragma: no cover — non-main thread (tests)
         pass
     try:
-        if (
-            recover
-            and journal_path is not None
-            and pathlib.Path(journal_path).exists()
-        ):
-            svc = SolveService.recover(
-                journal_path, snapshot_path=snapshot_path, **service_kwargs
-            )
-        else:
-            svc = SolveService(
-                journal=journal_path, snapshot_path=snapshot_path,
-                **service_kwargs,
-            )
+        svc = open_service(journal_path, snapshot_path, service_kwargs,
+                           recover)
     except Exception as exc:  # pragma: no cover — config errors surface up
         conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
         conn.close()
         return
-    conn.send(("hello", {
-        "shard": shard_id,
-        "pid": os.getpid(),
-        "recovered": list(svc.recovered.values()),
-        "replayed": [
-            (req.id, getattr(req, "_order", 0)) for req in svc._queue
-        ],
-    }))
+    conn.send(("hello", shard_hello(shard_id, svc)))
     while True:
         try:
             msg = conn.recv()
@@ -105,36 +161,14 @@ def _shard_main(conn, shard_id, recover, journal_path, snapshot_path,
             return
         op, args = msg[0], msg[1:]
         try:
-            if op == "submit":
-                conn.send(("ok", svc.submit(args[0])))
-            elif op == "drain":
-                conn.send(("responses", svc.collect() + svc.drain()))
-            elif op == "collect":
-                conn.send(("responses", svc.collect()))
-            elif op == "shed":
-                conn.send(("response", svc.shed_oldest()))
-            elif op == "stats":
-                conn.send(("stats", svc.stats()))
-            elif op == "ping":
-                conn.send(("pong", svc.pending))
-            elif op == "shutdown":
-                responses = svc.shutdown(deadline_s=args[0])
-                conn.send(("responses", svc.collect() + responses))
-                conn.close()
-                return
-            elif op == "close":
-                svc.close()
-                conn.send(("ok", None))
-                conn.close()
-                return
-            else:
-                conn.send(("error", ("invalid-request",
-                                     f"unknown shard op {op!r}")))
-        except ReproError as exc:
-            conn.send(("error", (exc.kind, str(exc))))
+            reply = shard_op(svc, op, args)
         except Exception as exc:  # noqa: BLE001 — isolate, never kill the loop
-            conn.send(("error", ("internal",
-                                 f"{type(exc).__name__}: {exc}")))
+            conn.send(("error", shard_error(exc)))
+            continue
+        conn.send(reply)
+        if op in FINAL_OPS:
+            conn.close()
+            return
 
 
 def _raise_shard_error(kind: str, message: str) -> None:
@@ -203,6 +237,10 @@ class ProcessShard:
             raise ShardCrashedError(
                 f"{self.id} is gone mid-send ({type(exc).__name__})"
             ) from exc
+        if op == "submit":
+            # The encoded payload crossed the pipe with the request (the
+            # replica's journal appends it); the router's copy drops it.
+            args[0].__dict__.pop("_payload", None)
 
     def finish(self, timeout: float | None = None):
         """Receive (and unwrap) the pending command's reply."""
@@ -297,28 +335,9 @@ class InlineShard:
             None if journal_path is None else pathlib.Path(journal_path)
         )
         self.snapshot_path = snapshot_path
-        if (
-            recover
-            and journal_path is not None
-            and pathlib.Path(journal_path).exists()
-        ):
-            self.service = SolveService.recover(
-                journal_path, snapshot_path=snapshot_path, **service_kwargs
-            )
-        else:
-            self.service = SolveService(
-                journal=journal_path, snapshot_path=snapshot_path,
-                **service_kwargs,
-            )
-        self.hello = {
-            "shard": shard_id,
-            "pid": os.getpid(),
-            "recovered": list(self.service.recovered.values()),
-            "replayed": [
-                (req.id, getattr(req, "_order", 0))
-                for req in self.service._queue
-            ],
-        }
+        self.service = open_service(journal_path, snapshot_path,
+                                    service_kwargs, recover)
+        self.hello = shard_hello(shard_id, self.service)
         self._pending_op: tuple | None = None
 
     @property
@@ -335,26 +354,7 @@ class InlineShard:
     def finish(self, timeout: float | None = None):  # noqa: ARG002
         op, args = self._pending_op[0], self._pending_op[1:]
         self._pending_op = None
-        svc = self.service
-        if op == "submit":
-            return svc.submit(args[0])
-        if op == "drain":
-            return svc.collect() + svc.drain()
-        if op == "collect":
-            return svc.collect()
-        if op == "shed":
-            return svc.shed_oldest()
-        if op == "stats":
-            return svc.stats()
-        if op == "ping":
-            return svc.pending
-        if op == "shutdown":
-            responses = svc.shutdown(deadline_s=args[0])
-            return svc.collect() + responses
-        if op == "close":
-            svc.close()
-            return None
-        raise ValueError(f"unknown shard op {op!r}")
+        return shard_op(self.service, op, args)[1]
 
     def call(self, op: str, *args, timeout: float | None = None):
         self.start(op, *args)

@@ -32,7 +32,10 @@ from repro.core.result import SolveResult
 from repro.core.sea import solve_elastic, solve_fixed, solve_sam
 from repro.core.sea_general import solve_general
 
-__all__ = ["solve", "fingerprint", "Fingerprint", "problem_kind", "totals_vector"]
+__all__ = [
+    "solve", "supports", "fingerprint", "Fingerprint", "problem_kind",
+    "totals_vector",
+]
 
 
 def _digest(*parts) -> str:
@@ -115,6 +118,32 @@ def fingerprint(problem) -> Fingerprint:
     )
 
 
+def _solvers() -> dict:
+    """Problem type -> solver for every type :func:`solve` accepts."""
+    # Extension/substrate types are imported lazily to keep core import
+    # costs down and avoid cycles.
+    from repro.extensions.bounded import BoundedProblem, solve_bounded
+    from repro.extensions.entropy import EntropyProblem, solve_entropy
+    from repro.extensions.intervals import IntervalTotalsProblem, solve_intervals
+    from repro.spe.model import SpatialPriceProblem, solve_spe
+
+    return {
+        FixedTotalsProblem: solve_fixed,
+        ElasticProblem: solve_elastic,
+        SAMProblem: solve_sam,
+        GeneralProblem: solve_general,
+        BoundedProblem: solve_bounded,
+        IntervalTotalsProblem: solve_intervals,
+        EntropyProblem: solve_entropy,
+        SpatialPriceProblem: solve_spe,
+    }
+
+
+def supports(problem) -> bool:
+    """Whether :func:`solve` has a solver for ``problem``'s type."""
+    return type(problem) in _solvers()
+
+
 def solve(problem, **kwargs) -> SolveResult:
     """Solve any constrained matrix problem with its SEA variant.
 
@@ -133,27 +162,10 @@ def solve(problem, **kwargs) -> SolveResult:
     SpatialPriceProblem             :func:`repro.spe.model.solve_spe`
     ==============================  =================================
     """
-    # Extension/substrate types are imported lazily to keep core import
-    # costs down and avoid cycles.
-    from repro.extensions.bounded import BoundedProblem, solve_bounded
-    from repro.extensions.entropy import EntropyProblem, solve_entropy
-    from repro.extensions.intervals import IntervalTotalsProblem, solve_intervals
-    from repro.spe.model import SpatialPriceProblem, solve_spe
-
-    dispatch = [
-        (FixedTotalsProblem, solve_fixed),
-        (ElasticProblem, solve_elastic),
-        (SAMProblem, solve_sam),
-        (GeneralProblem, solve_general),
-        (BoundedProblem, solve_bounded),
-        (IntervalTotalsProblem, solve_intervals),
-        (EntropyProblem, solve_entropy),
-        (SpatialPriceProblem, solve_spe),
-    ]
-    for cls, solver in dispatch:
-        if type(problem) is cls:
-            return solver(problem, **kwargs)
-    raise TypeError(
-        f"no solver registered for {type(problem).__name__}; "
-        "see repro.core.api.solve's docstring for supported types"
-    )
+    solver = _solvers().get(type(problem))
+    if solver is None:
+        raise TypeError(
+            f"no solver registered for {type(problem).__name__}; "
+            "see repro.core.api.solve's docstring for supported types"
+        )
+    return solver(problem, **kwargs)

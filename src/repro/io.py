@@ -4,15 +4,30 @@ Practitioners exchange constrained-matrix inputs as labeled CSV tables
 (the classic I/O-table layout: first row = column labels, first column
 = row labels, optional ``total`` margins) and archive solved problems
 as NPZ bundles.  This module provides both, for every problem class in
-the library.
+the library, plus the JSON payload of the solve service.
+
+In a JSON payload an array is either nested lists (the external wire
+format clients send and receive) or a *packed array* (the internal
+record format of the journal and the shard hop)::
+
+    {"dtype": "<f8", "shape": [m, n], "b64": "<little-endian bytes>"}
+
+A packed array is the array's raw little-endian bytes in base64, so it
+is lossless by construction — NaN payloads, ±inf, −0.0, subnormals —
+and still strict JSON.  ``|b1`` packs boolean masks.  Every decoder
+here accepts both forms.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
+import math
 import pathlib
 
 import numpy as np
+
+from repro.errors import InvalidRequestError
 
 from repro.core.problems import (
     ElasticProblem,
@@ -28,6 +43,8 @@ __all__ = [
     "load_problem",
     "problem_to_jsonable",
     "problem_from_jsonable",
+    "pack_array",
+    "unpack_array",
 ]
 
 _KINDS = {
@@ -160,76 +177,127 @@ def load_problem(path):
 # JSON wire format (the solve service's request/response payloads)
 # ---------------------------------------------------------------------------
 
-def _maybe_list(arr) -> list | None:
-    return None if arr is None else np.asarray(arr).tolist()
+def pack_array(arr, dtype: str = "<f8") -> dict | None:
+    """An array as a packed object: ``dtype``, ``shape`` and its
+    C-order little-endian bytes in base64 (any input layout or byte
+    order is written back as ``dtype``).  ``None`` passes through."""
+    if arr is None:
+        return None
+    a = np.asarray(arr, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(a.shape),
+        "b64": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
 
 
-def problem_to_jsonable(problem) -> dict:
+def unpack_array(obj, dtype=np.float64, ndmin: int = 0) -> np.ndarray | None:
+    """Nested lists or a packed array (:func:`pack_array`) as an array
+    (``None`` passes through).
+
+    A packed object must carry the dtype code ``dtype`` maps to
+    (``<f8`` for floats, ``|b1`` for ``bool``), at most two
+    non-negative dimensions and exactly ``prod(shape) × itemsize``
+    bytes; anything else raises
+    :class:`~repro.errors.InvalidRequestError`."""
+    if obj is None:
+        return None
+    if not isinstance(obj, dict):
+        return np.array(obj, dtype=dtype, ndmin=ndmin)
+    code = "|b1" if dtype is bool else "<f8"
+    shape, b64 = obj.get("shape"), obj.get("b64")
+    if (
+        obj.get("dtype") != code
+        or not isinstance(shape, list)
+        or len(shape) > 2
+        or not all(type(k) is int and k >= 0 for k in shape)
+        or not isinstance(b64, str)
+    ):
+        raise InvalidRequestError(
+            f"malformed packed array: need dtype {code!r}, a shape of at "
+            "most 2 non-negative ints and a base64 string"
+        )
+    try:
+        raw = base64.b64decode(b64, validate=True)
+    except ValueError as exc:
+        raise InvalidRequestError(f"packed array is not base64 ({exc})")
+    size = math.prod(shape) * np.dtype(code).itemsize
+    if len(raw) != size:
+        raise InvalidRequestError(
+            f"packed array of shape {shape} needs {size} bytes, "
+            f"got {len(raw)}"
+        )
+    if code == "|b1" and raw.translate(None, b"\x00\x01"):
+        raise InvalidRequestError("packed mask bytes must be 0 or 1")
+    return np.frombuffer(bytearray(raw), dtype=code).reshape(shape)
+
+
+def problem_to_jsonable(problem, packed: bool = False) -> dict:
     """Encode a core problem as a JSON-serializable dict.
 
     The layout mirrors the NPZ bundle of :func:`save_problem` with
-    nested lists in place of arrays; an all-``True`` mask is omitted.
+    nested lists in place of arrays (packed arrays with
+    ``packed=True``); an all-``True`` mask is omitted.
     """
     kind = next((k for k, cls in _KINDS.items() if type(problem) is cls), None)
     if kind is None:
         raise TypeError(f"cannot encode {type(problem).__name__}")
+
+    def enc(arr, dtype="<f8"):
+        if packed or arr is None:
+            return pack_array(arr, dtype)
+        return np.asarray(arr).tolist()
+
     obj: dict = {
         "kind": kind,
         "name": problem.name,
-        "x0": problem.x0.tolist(),
-        "s0": problem.s0.tolist(),
+        "x0": enc(problem.x0),
+        "s0": enc(problem.s0),
     }
     if not problem.mask.all():
-        obj["mask"] = problem.mask.tolist()
+        obj["mask"] = enc(problem.mask, "|b1")
     if kind == "general":
         obj["general_kind"] = problem.kind
-        obj["G"] = problem.G.tolist()
-        obj["d0"] = _maybe_list(problem.d0)
-        obj["A"] = _maybe_list(problem.A)
-        obj["B"] = _maybe_list(problem.B)
+        for key in ("G", "d0", "A", "B"):
+            obj[key] = enc(getattr(problem, key))
     else:
-        obj["gamma"] = problem.gamma.tolist()
+        obj["gamma"] = enc(problem.gamma)
         if kind in ("fixed", "elastic"):
-            obj["d0"] = problem.d0.tolist()
+            obj["d0"] = enc(problem.d0)
         if kind in ("elastic", "sam"):
-            obj["alpha"] = problem.alpha.tolist()
+            obj["alpha"] = enc(problem.alpha)
         if kind == "elastic":
-            obj["beta"] = problem.beta.tolist()
+            obj["beta"] = enc(problem.beta)
     return obj
 
 
 def problem_from_jsonable(obj: dict):
-    """Decode a dict produced by :func:`problem_to_jsonable`."""
+    """Decode a dict produced by :func:`problem_to_jsonable` (arrays as
+    nested lists or packed)."""
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    arr = np.asarray
     common = {
-        "x0": arr(obj["x0"], dtype=np.float64),
-        "s0": arr(obj["s0"], dtype=np.float64),
-        "mask": None if obj.get("mask") is None else arr(obj["mask"], dtype=bool),
+        "x0": unpack_array(obj["x0"]),
+        "s0": unpack_array(obj["s0"]),
+        "mask": unpack_array(obj.get("mask"), dtype=bool),
         "name": obj.get("name", kind),
     }
     if kind == "general":
-        opt = {
-            k: None if obj.get(k) is None else arr(obj[k], dtype=np.float64)
-            for k in ("d0", "A", "B")
-        }
         return GeneralProblem(
-            kind=obj["general_kind"], G=arr(obj["G"], dtype=np.float64),
-            **common, **opt,
+            kind=obj["general_kind"], G=unpack_array(obj["G"]),
+            d0=unpack_array(obj.get("d0")), A=unpack_array(obj.get("A")),
+            B=unpack_array(obj.get("B")), **common,
         )
-    gamma = arr(obj["gamma"], dtype=np.float64)
+    gamma = unpack_array(obj["gamma"])
     if kind == "fixed":
         return FixedTotalsProblem(
-            gamma=gamma, d0=arr(obj["d0"], dtype=np.float64), **common
+            gamma=gamma, d0=unpack_array(obj["d0"]), **common
         )
     if kind == "elastic":
         return ElasticProblem(
-            gamma=gamma, d0=arr(obj["d0"], dtype=np.float64),
-            alpha=arr(obj["alpha"], dtype=np.float64),
-            beta=arr(obj["beta"], dtype=np.float64), **common,
+            gamma=gamma, d0=unpack_array(obj["d0"]),
+            alpha=unpack_array(obj["alpha"]),
+            beta=unpack_array(obj["beta"]), **common,
         )
-    return SAMProblem(
-        gamma=gamma, alpha=arr(obj["alpha"], dtype=np.float64), **common
-    )
+    return SAMProblem(gamma=gamma, alpha=unpack_array(obj["alpha"]), **common)

@@ -11,9 +11,21 @@ a JSONL file of two record types::
 so at any instant the set of *unanswered* requests (request record, no
 response record) is exactly the work a crashed service lost, and the
 set of answered ones carries the full responses — duals included — at
-bit-exact float fidelity (Python's ``json`` round-trips ``float64``
-through ``repr``, and non-finite values are written as the JSON
-extensions ``NaN``/``Infinity`` the stdlib parses back).
+bit-exact float fidelity.  Every float array in a record is a *packed
+array* (:func:`repro.io.pack_array`: little-endian bytes in base64), so
+NaN payloads, ±inf, −0.0 and subnormals survive by construction; a
+non-finite scalar is packed as a 0-d array.  Records are strict JSON.
+Journals written with nested-list arrays (and bare ``NaN`` tokens)
+still replay: every decoder accepts both forms.
+
+The request payload is encoded once per process.
+:func:`derive_request_id` digests the packed payload (id left out) and
+caches the text on the request; :meth:`Journal.append_request` and the
+network shard's submit frame take those same bytes
+(:func:`take_payload`), which drops the cache.
+:func:`response_to_record` / :func:`response_from_record` are the one
+full-fidelity response codec, shared by the journal and the
+router↔``shard-serve`` frames.
 
 Recovery (:func:`replay`, used by ``SolveService.recover``) returns the
 unanswered requests in their original submission order plus the
@@ -34,13 +46,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 
-import numpy as np
-
 from repro.core.result import SolveResult
 from repro.errors import DuplicateRequestError
+from repro.io import pack_array, unpack_array
 from repro.service.request import SolveRequest, SolveResponse
 from repro.service.wire import request_from_jsonable, request_to_jsonable
 
@@ -50,9 +62,19 @@ __all__ = [
     "replay",
     "replay_full",
     "derive_request_id",
+    "encode_request",
+    "take_payload",
     "response_to_record",
     "response_from_record",
 ]
+
+
+def encode_request(request: SolveRequest) -> str:
+    """The request's record payload: packed arrays, the id left out
+    (the record carries it next to the payload)."""
+    obj = request_to_jsonable(request, packed=True)
+    del obj["id"]
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def derive_request_id(request: SolveRequest, seq: int) -> str:
@@ -62,19 +84,33 @@ def derive_request_id(request: SolveRequest, seq: int) -> str:
     identical payload is *visible* as such in the journal) while the
     journal-global ``seq`` suffix keeps legitimately repeated payloads
     distinct — dedup is only *enforced* for client-supplied ids, which
-    are the ones a retrying client reuses on purpose.
+    are the ones a retrying client reuses on purpose.  The digested
+    payload is cached on the request for the append or send that
+    follows (:func:`take_payload`).
     """
-    payload = json.dumps(request_to_jsonable(request), sort_keys=True)
+    payload = encode_request(request)
+    request._payload = payload  # type: ignore[attr-defined]
     digest = hashlib.sha1(payload.encode()).hexdigest()[:12]
     return f"{digest}-{seq}"
 
 
-def _maybe_list(arr) -> list | None:
-    return None if arr is None else np.asarray(arr).tolist()
+def take_payload(request: SolveRequest) -> str:
+    """The payload :func:`derive_request_id` cached (removing it from
+    the request), or a fresh encoding when there is none."""
+    payload = request.__dict__.pop("_payload", None)
+    return encode_request(request) if payload is None else payload
 
 
-def _maybe_array(obj, ndmin: int = 1) -> np.ndarray | None:
-    return None if obj is None else np.array(obj, dtype=np.float64, ndmin=ndmin)
+def _scalar(value: float):
+    """A float as strict JSON: itself when finite, else a 0-d packed
+    array (bit-exact, NaN payload included)."""
+    return value if math.isfinite(value) else pack_array(value)
+
+
+def _unscalar(obj) -> float:
+    """Inverse of :func:`_scalar`; bare numbers (and the ``NaN`` tokens
+    of older journals) pass through."""
+    return float(unpack_array(obj)) if isinstance(obj, dict) else obj
 
 
 def _result_to_record(result: SolveResult) -> dict:
@@ -83,45 +119,47 @@ def _result_to_record(result: SolveResult) -> dict:
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "inner_iterations": int(result.inner_iterations),
-        "residual": float(result.residual),
-        "objective": float(result.objective),
-        "elapsed": float(result.elapsed),
-        "x": _maybe_list(result.x),
-        "s": _maybe_list(result.s),
-        "d": _maybe_list(result.d),
-        "lam": _maybe_list(result.lam),
-        "mu": _maybe_list(result.mu),
+        "residual": _scalar(float(result.residual)),
+        "objective": _scalar(float(result.objective)),
+        "elapsed": _scalar(float(result.elapsed)),
+        "x": pack_array(result.x),
+        "s": pack_array(result.s),
+        "d": pack_array(result.d),
+        "lam": pack_array(result.lam),
+        "mu": pack_array(result.mu),
     }
 
 
 def _result_from_record(rec: dict) -> SolveResult:
     return SolveResult(
-        x=_maybe_array(rec["x"], ndmin=2),
-        s=_maybe_array(rec["s"]),
-        d=_maybe_array(rec["d"]),
-        lam=_maybe_array(rec["lam"]),
-        mu=_maybe_array(rec["mu"]),
+        x=unpack_array(rec["x"], ndmin=2),
+        s=unpack_array(rec["s"], ndmin=1),
+        d=unpack_array(rec["d"], ndmin=1),
+        lam=unpack_array(rec["lam"], ndmin=1),
+        mu=unpack_array(rec["mu"], ndmin=1),
         converged=rec["converged"],
         iterations=rec["iterations"],
         inner_iterations=rec.get("inner_iterations", 0),
-        residual=rec["residual"],
-        objective=rec["objective"],
-        elapsed=rec["elapsed"],
+        residual=_unscalar(rec["residual"]),
+        objective=_unscalar(rec["objective"]),
+        elapsed=_unscalar(rec["elapsed"]),
         algorithm=rec["algorithm"],
     )
 
 
 def response_to_record(response: SolveResponse) -> dict:
-    """Full-fidelity response encoding (duals included, floats exact).
+    """Full-fidelity response encoding (duals included, floats exact,
+    strict JSON).
 
-    Unlike the wire codec (:func:`repro.service.wire
-    .response_to_jsonable`) nothing is rounded or nulled: the journal
-    must reproduce the response *bit-identically* on replay.
+    Unlike the client-facing wire codec (:func:`repro.service.wire
+    .response_to_jsonable`) nothing is rounded or dropped: the journal
+    and the router↔shard hop must reproduce the response
+    *bit-identically*.
     """
     rec: dict = {
         "id": response.id,
         "kind": response.kind,
-        "elapsed": response.elapsed,
+        "elapsed": _scalar(float(response.elapsed)),
         "warm_started": response.warm_started,
         "cache_exact": response.cache_exact,
         "batched": response.batched,
@@ -137,7 +175,7 @@ def response_to_record(response: SolveResponse) -> dict:
 
 
 def response_from_record(rec: dict) -> SolveResponse:
-    """Inverse of :func:`response_to_record`."""
+    """Inverse of :func:`response_to_record` (packed or list-form)."""
     return SolveResponse(
         id=rec["id"],
         result=(
@@ -146,7 +184,7 @@ def response_from_record(rec: dict) -> SolveResponse:
         error=rec.get("error"),
         error_kind=rec.get("error_kind"),
         kind=rec.get("kind", ""),
-        elapsed=rec.get("elapsed", 0.0),
+        elapsed=_unscalar(rec.get("elapsed", 0.0)),
         warm_started=rec.get("warm_started", False),
         cache_exact=rec.get("cache_exact", False),
         batched=rec.get("batched", False),
@@ -179,7 +217,76 @@ def _scan(path: pathlib.Path):
             offset = end
 
 
-class Journal:
+class _JournalFile:
+    """The file discipline :class:`Journal` and :class:`ReplicaJournal`
+    share: opening rebuilds the id index from the intact records and
+    truncates any torn tail; appends are whole flushed lines on the
+    0/1/N ``fsync`` cadence."""
+
+    def __init__(self, path, fsync: int = 0) -> None:
+        if fsync < 0:
+            raise ValueError("fsync must be >= 0")
+        self.path = pathlib.Path(path)
+        self.fsync = int(fsync)
+        # id -> answered?  (False = request journaled, response pending)
+        self._seen: dict[str, bool] = {}
+        self.request_records = 0  # total request records ever journaled
+        self.lines = 0            # total intact records currently on disk
+        self._unsynced = 0
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        good_end = 0
+        if self.path.exists():
+            for obj, end in _scan(self.path):
+                good_end = end
+                self._index(obj)
+            if good_end < self.path.stat().st_size:
+                with self.path.open("rb+") as fh:
+                    fh.truncate(good_end)
+        self._fh = self.path.open("a", encoding="utf-8")
+
+    def _index(self, obj: dict) -> None:
+        self.lines += 1
+        if obj["type"] == "request":
+            self._seen.setdefault(obj.get("id"), False)
+            self.request_records += 1
+        elif obj["type"] == "response":
+            self._seen[obj.get("id")] = True
+
+    def _append(self, text: str, obj: dict) -> None:
+        self._fh.write(text + "\n")
+        self._fh.flush()
+        self._index(obj)
+        self._unsynced += 1
+        if self.fsync and self._unsynced >= self.fsync:
+            self.sync()
+
+    def __contains__(self, request_id: str) -> bool:
+        return request_id in self._seen
+
+    def answered(self, request_id: str) -> bool:
+        return self._seen.get(request_id) is True
+
+    def sync(self) -> None:
+        """Force the appended records onto stable storage."""
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self._unsynced = 0
+
+    def close(self) -> None:
+        if not self._fh.closed:
+            self._fh.flush()
+            if self.fsync:
+                os.fsync(self._fh.fileno())
+            self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class Journal(_JournalFile):
     """Append-only write-ahead log of requests and responses.
 
     Opening an existing path replays its index (which ids are pending
@@ -197,41 +304,9 @@ class Journal:
     """
 
     def __init__(self, path, fsync: int = 0) -> None:
-        if fsync < 0:
-            raise ValueError("fsync must be >= 0")
-        self.path = pathlib.Path(path)
-        self.fsync = int(fsync)
-        # id -> answered?  (False = request journaled, response pending)
-        self._seen: dict[str, bool] = {}
-        self.request_records = 0  # total request records ever journaled
-        self.appended = 0         # records appended by *this* process
-        self.lines = 0            # total intact records currently on disk
-        self._unsynced = 0
+        self.appended = 0  # records appended by *this* process
         self._subscribers: list = []
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        good_end = 0
-        if self.path.exists():
-            for obj, end in _scan(self.path):
-                good_end = end
-                self.lines += 1
-                rid = obj.get("id")
-                if obj["type"] == "request":
-                    self._seen[rid] = False
-                    self.request_records += 1
-                elif obj["type"] == "response":
-                    self._seen[rid] = True
-            if good_end < self.path.stat().st_size:
-                with self.path.open("rb+") as fh:
-                    fh.truncate(good_end)
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    # -- index ---------------------------------------------------------------
-
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self._seen
-
-    def answered(self, request_id: str) -> bool:
-        return self._seen.get(request_id) is True
+        super().__init__(path, fsync)
 
     def pending_ids(self) -> list[str]:
         """Ids journaled as requests but never answered."""
@@ -252,23 +327,23 @@ class Journal:
                 f"request id {request.id!r} already journaled "
                 f"({'answered' if self._seen[request.id] else 'pending'})"
             )
-        self._write({
-            "type": "request",
-            "id": request.id,
-            "seq": getattr(request, "_order", self.request_records),
-            "request": request_to_jsonable(request),
-        })
-        self._seen[request.id] = False
-        self.request_records += 1
+        # The payload is spliced in as the text derive_request_id
+        # digested; "request" comes last so it ends the line verbatim.
+        seq = getattr(request, "_order", self.request_records)
+        self._write(
+            f'{{"type":"request","id":{json.dumps(request.id)},'
+            f'"seq":{json.dumps(seq)},"request":{take_payload(request)}}}',
+            {"type": "request", "id": request.id},
+        )
 
     def append_response(self, response: SolveResponse) -> None:
         """Journal a response; must precede its delivery."""
-        self._write({
+        obj = {
             "type": "response",
             "id": response.id,
             "response": response_to_record(response),
-        })
-        self._seen[response.id] = True
+        }
+        self._write(json.dumps(obj, separators=(",", ":"), allow_nan=False), obj)
 
     # -- streaming -----------------------------------------------------------
 
@@ -289,8 +364,8 @@ class Journal:
 
         Used for replica catch-up after a reconnect: the router says
         how many lines it already holds and the server re-ships the
-        rest.  Safe to call on a live journal — every ``_write`` ends
-        with a flush, so the file always contains whole lines up to
+        rest.  Safe to call on a live journal — every append ends with
+        a flush, so the file always contains whole lines up to
         ``self.lines``.
         """
         if start >= self.lines:
@@ -300,39 +375,14 @@ class Journal:
             lines = fh.read().splitlines()
         return lines[start:self.lines]
 
-    def _write(self, obj: dict) -> None:
-        text = json.dumps(obj, separators=(",", ":"))
-        self._fh.write(text + "\n")
-        self._fh.flush()
+    def _write(self, text: str, obj: dict) -> None:
+        self._append(text, obj)
         self.appended += 1
-        self.lines += 1
-        self._unsynced += 1
-        if self.fsync and self._unsynced >= self.fsync:
-            self.sync()
         for fn in self._subscribers:
             fn(text)
 
-    def sync(self) -> None:
-        """Force the appended records onto stable storage."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._unsynced = 0
 
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ReplicaJournal:
+class ReplicaJournal(_JournalFile):
     """Router-side byte-for-byte replica of a remote shard's journal.
 
     The network shard server ships every WAL record it appends as the
@@ -349,38 +399,6 @@ class ReplicaJournal:
     on open; ``fsync`` follows the same 0/1/N cadence.
     """
 
-    def __init__(self, path, fsync: int = 0) -> None:
-        if fsync < 0:
-            raise ValueError("fsync must be >= 0")
-        self.path = pathlib.Path(path)
-        self.fsync = int(fsync)
-        self._seen: dict[str, bool] = {}
-        self.lines = 0
-        self.request_records = 0
-        self._unsynced = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        good_end = 0
-        if self.path.exists():
-            for obj, end in _scan(self.path):
-                good_end = end
-                self.lines += 1
-                rid = obj.get("id")
-                if obj["type"] == "request":
-                    self._seen[rid] = False
-                    self.request_records += 1
-                elif obj["type"] == "response":
-                    self._seen[rid] = True
-            if good_end < self.path.stat().st_size:
-                with self.path.open("rb+") as fh:
-                    fh.truncate(good_end)
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self._seen
-
-    def answered(self, request_id: str) -> bool:
-        return self._seen.get(request_id) is True
-
     def append_line(self, line: str) -> None:
         """Append one shipped record line (validated before write).
 
@@ -395,36 +413,7 @@ class ReplicaJournal:
             raise ValueError(f"shipped journal line is not JSON: {exc}")
         if not isinstance(obj, dict) or "type" not in obj:
             raise ValueError("shipped journal line is not a journal record")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.lines += 1
-        self._unsynced += 1
-        rid = obj.get("id")
-        if obj["type"] == "request":
-            self._seen.setdefault(rid, False)
-            self.request_records += 1
-        elif obj["type"] == "response":
-            self._seen[rid] = True
-        if self.fsync and self._unsynced >= self.fsync:
-            self.sync()
-
-    def sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._unsynced = 0
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "ReplicaJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._append(line, obj)
 
 
 def replay(path) -> tuple[list[SolveRequest], dict[str, SolveResponse]]:
@@ -437,22 +426,9 @@ def replay(path) -> tuple[list[SolveRequest], dict[str, SolveResponse]]:
     *after* a duplicate-looking crash replay appears only once — the
     index keeps the latest state per id.
     """
-    path = pathlib.Path(path)
-    requests: dict[str, SolveRequest] = {}
-    responses: dict[str, SolveResponse] = {}
-    if not path.exists():
-        return [], {}
-    for obj, _ in _scan(path):
-        rid = obj.get("id")
-        if obj["type"] == "request":
-            request = request_from_jsonable(obj["request"])
-            request.id = rid
-            request._order = obj.get("seq", len(requests))
-            requests[rid] = request
-        elif obj["type"] == "response":
-            responses[rid] = response_from_record(obj["response"])
+    requests, responses = replay_full(path)
     unanswered = [
-        requests[rid] for rid in requests if rid not in responses
+        request for rid, request in requests.items() if rid not in responses
     ]
     unanswered.sort(key=lambda r: r._order)
     return unanswered, responses

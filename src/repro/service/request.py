@@ -13,11 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.api import supports
 from repro.core.convergence import StoppingRule
+from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
 from repro.core.result import SolveResult
 from repro.errors import InvalidProblemError
 
-__all__ = ["SolveRequest", "SolveResponse", "resolve_stop"]
+__all__ = ["SolveRequest", "SolveResponse", "check_solvable", "resolve_stop"]
+
+# Problem types the sparse engine (repro.sparse.sea) solves.
+_SPARSE_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem)
 
 # Paper-default tolerances per problem kind (Section 3 stopping rules).
 _DEFAULT_STOPS: dict[str, tuple[float, str]] = {
@@ -87,6 +92,24 @@ class SolveRequest:
             raise InvalidProblemError("deadline_s must be positive")
         if self.retries is not None and self.retries < 0:
             raise InvalidProblemError("retries must be >= 0")
+
+
+def check_solvable(request: SolveRequest) -> None:
+    """Refuse a request no solver of its engine takes.
+
+    Raises :class:`~repro.errors.InvalidProblemError` — deterministic,
+    so the service rejects it at submit, before journaling, instead of
+    retrying a failure that would repeat on every attempt."""
+    problem = request.problem
+    if request.engine == "sparse":
+        ok = type(problem) in _SPARSE_KINDS
+    else:
+        ok = supports(problem)
+    if not ok:
+        raise InvalidProblemError(
+            f"the {request.engine} engine has no solver for "
+            f"{type(problem).__name__}"
+        )
 
 
 def resolve_stop(request: SolveRequest, kind: str) -> StoppingRule | None:

@@ -108,7 +108,12 @@ from repro.service.cache import WarmStartCache
 from repro.service.journal import Journal, derive_request_id
 from repro.service.journal import replay as journal_replay
 from repro.service.metrics import ServiceStats
-from repro.service.request import SolveRequest, SolveResponse, resolve_stop
+from repro.service.request import (
+    SolveRequest,
+    SolveResponse,
+    check_solvable,
+    resolve_stop,
+)
 
 __all__ = ["SolveService"]
 
@@ -333,6 +338,7 @@ class SolveService:
             request = SolveRequest(problem=request, **options)
         elif options:
             raise TypeError("options only apply when submitting a bare problem")
+        check_solvable(request)
         if not self._accepting:
             self._stats.overload_rejections += 1
             raise OverloadedError(
@@ -842,16 +848,12 @@ class SolveService:
                 solve_sam_sparse,
             )
 
-            sparse_dispatch = {
+            # submit() admits only the three diagonal kinds here.
+            solver = {
                 FixedTotalsProblem: solve_fixed_sparse,
                 ElasticProblem: solve_elastic_sparse,
                 SAMProblem: solve_sam_sparse,
-            }
-            solver = sparse_dispatch.get(type(problem))
-            if solver is None:
-                raise TypeError(
-                    f"sparse engine cannot solve {type(problem).__name__}"
-                )
+            }[type(problem)]
             stop = resolve_stop(req, problem_kind(problem))
             return solver(problem, stop=stop)
         if type(problem) in _CORE_KINDS:

@@ -21,7 +21,12 @@ a ``nonfinite`` sidecar recording where the nulls came from::
 
 so :func:`response_from_jsonable` rebuilds the exact NaN/±inf values
 (the decode-side inverse; round-trip is bit-lossless for every field
-the wire carries).
+the wire carries).  This is the *external* format — edge answers, CLI
+``--json`` and client-built request lines all use nested lists.  The
+internal hops (journal records, router↔``shard-serve`` frames) use the
+one full-fidelity record codec of :mod:`repro.service.journal`, whose
+packed arrays need no sidecar; the request decoder here accepts either
+array form.
 
 Failures are structured, never stringified tracebacks::
 
@@ -55,8 +60,6 @@ __all__ = [
     "request_to_jsonable",
     "response_to_jsonable",
     "response_from_jsonable",
-    "response_to_jsonable_full",
-    "response_from_jsonable_full",
     "read_requests",
     "dump_response",
     "error_line",
@@ -119,11 +122,6 @@ def _decode_array(data, spots=None) -> np.ndarray | None:
     return a
 
 
-def _finite(value: float) -> float | None:
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 @dataclass
 class RequestError:
     """A JSONL line that failed to decode into a :class:`SolveRequest`.
@@ -178,11 +176,13 @@ def request_from_jsonable(obj: dict) -> SolveRequest:
     )
 
 
-def request_to_jsonable(request: SolveRequest) -> dict:
-    """Encode a request (the inverse of :func:`request_from_jsonable`)."""
+def request_to_jsonable(request: SolveRequest, packed: bool = False) -> dict:
+    """Encode a request (the inverse of :func:`request_from_jsonable`);
+    ``packed=True`` packs the problem's arrays (the internal record
+    form of :mod:`repro.service.journal`)."""
     obj: dict = {
         "id": request.id,
-        "problem": problem_to_jsonable(request.problem),
+        "problem": problem_to_jsonable(request.problem, packed=packed),
         "warm_start": request.warm_start,
         "batch": request.batchable,
         "engine": request.engine,
@@ -304,60 +304,6 @@ def response_from_jsonable(obj: dict) -> SolveResponse:
     )
 
 
-def response_to_jsonable_full(response: SolveResponse) -> dict:
-    """Full-fidelity strict-JSON response encoding for shard transport.
-
-    The client-facing codec (:func:`response_to_jsonable`) is
-    deliberately lossy: it rounds ``elapsed``, drops the ``lam``/``mu``
-    duals and ``submitted_at``, and omits the warm-start/cache/batch
-    flags on the error branch.  The router↔shard hop cannot afford any
-    of that — the router re-delivers these responses verbatim and the
-    bit-identity guarantees depend on it — so this codec rides on the
-    base object and adds the missing fields, with non-finite dual
-    entries going through the same ``nonfinite`` sidecar so the frame
-    stays strict JSON."""
-    obj = response_to_jsonable(response, include_matrix=True)
-    obj["submitted_at"] = response.submitted_at
-    obj["warm_started"] = response.warm_started
-    obj["cache_exact"] = response.cache_exact
-    obj["batched"] = response.batched
-    obj["elapsed"] = response.elapsed
-    if response.ok:
-        nonfinite = obj.get("nonfinite") or {}
-        obj["result_elapsed"] = response.result.elapsed
-        for key, arr in (
-            ("lam", response.result.lam), ("mu", response.result.mu)
-        ):
-            if arr is None:
-                obj[key] = None
-            else:
-                obj[key], spots = _encode_array(arr)
-                if spots:
-                    nonfinite[key] = spots
-        if nonfinite:
-            obj["nonfinite"] = nonfinite
-    return obj
-
-
-def response_from_jsonable_full(obj: dict) -> SolveResponse:
-    """Inverse of :func:`response_to_jsonable_full` (bit-lossless)."""
-    resp = response_from_jsonable(obj)
-    resp.submitted_at = obj.get("submitted_at", 0)
-    resp.warm_started = bool(obj.get("warm_started", resp.warm_started))
-    resp.cache_exact = bool(obj.get("cache_exact", resp.cache_exact))
-    resp.batched = bool(obj.get("batched", resp.batched))
-    if "elapsed" in obj and obj["elapsed"] is not None:
-        resp.elapsed = float(obj["elapsed"])
-    if resp.result is not None:
-        nonfinite = obj.get("nonfinite") or {}
-        resp.result.lam = _decode_array(obj.get("lam"), nonfinite.get("lam"))
-        resp.result.mu = _decode_array(obj.get("mu"), nonfinite.get("mu"))
-        resp.result.elapsed = float(
-            obj.get("result_elapsed", resp.result.elapsed)
-        )
-    return resp
-
-
 def decode_request_line(
     line: str, lineno: int = 0
 ) -> SolveRequest | RequestError | None:
@@ -379,14 +325,10 @@ def decode_request_line(
     try:
         return request_from_jsonable(obj)
     except Exception as exc:  # noqa: BLE001 — classify, don't crash
-        rid = obj.get("id") if isinstance(obj, dict) else None
-        if not isinstance(rid, str):
-            rid = (
-                str(rid)
-                if isinstance(rid, (int, float))
-                and not isinstance(rid, bool)
-                else None
-            )
+        try:
+            rid = _coerce_id(obj.get("id") if isinstance(obj, dict) else None)
+        except InvalidRequestError:
+            rid = None
         return RequestError(
             lineno, f"line {lineno}: {type(exc).__name__}: {exc}", id=rid
         )

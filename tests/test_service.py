@@ -438,6 +438,41 @@ class TestService:
         with pytest.raises(ValueError, match="engine"):
             SolveRequest(problem=random_fixed_problem(rng, 3, 3), engine="gpu")
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: SolveRequest(problem=object()),
+        lambda rng: SolveRequest(
+            problem=GeneralProblem(
+                kind="fixed", x0=np.ones((2, 2)), G=np.eye(4),
+                s0=np.ones(2), d0=np.ones(2),
+            ),
+            engine="sparse",
+        ),
+    ])
+    def test_unsupported_problem_is_refused_at_submit(self, tmp_path, rng,
+                                                      make):
+        """No solver takes it, so every attempt would fail the same way:
+        refused as invalid-problem before the journal or a retry sees it."""
+        from repro.cluster import ClusterService
+        from repro.errors import InvalidProblemError
+
+        path = tmp_path / "svc.journal"
+        with SolveService(journal=path) as svc:
+            with pytest.raises(InvalidProblemError) as err:
+                svc.submit(make(rng))
+            assert err.value.kind == "invalid-problem"
+            assert svc.drain() == []
+            assert svc.stats().retries == 0
+            assert svc.journal.lines == 0
+        assert path.read_text() == ""
+        with ClusterService(shards=2, shard_backend="inline",
+                            journal_dir=tmp_path / "cluster") as cluster:
+            with pytest.raises(InvalidProblemError):
+                cluster.submit(make(rng))
+            stats = cluster.stats().aggregate
+            assert stats.retries == 0 and stats.requests == 0
+        for shard_journal in (tmp_path / "cluster").glob("*.journal"):
+            assert shard_journal.read_text() == ""
+
 
 class TestWire:
     def test_request_round_trip(self, rng):
